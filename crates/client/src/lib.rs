@@ -681,7 +681,7 @@ impl Client {
         self.pending_submits + self.collected_submits.len()
     }
 
-    /// Collects the oldest outstanding [`Client::submit_nowait`] reply:
+    /// Collects the oldest outstanding nowait [`Client::submit_with`] reply:
     /// the server-assigned job id, or the typed rejection for that
     /// submit. Reports arriving meanwhile are stashed, never lost.
     ///

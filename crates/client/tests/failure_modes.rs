@@ -11,12 +11,17 @@
 mod common;
 use common::SubmitShorthand;
 
-use msropm_client::{is_retryable, Client, ClientError, RetryPolicy};
+use msropm_client::http::HttpClient;
+use msropm_client::{is_retryable, Client, ClientError, RetryPolicy, SubmitOptions};
 use msropm_core::{BatchJob, MsropmConfig};
 use msropm_graph::generators;
+use msropm_problems::json::Json;
+use msropm_problems::ProblemSpec;
 use msropm_server::proto::{
-    encode_response, read_frame, write_frame, ErrorCode, Response, WireLane, WireReport,
+    encode_response, read_frame, write_frame, ErrorCode, FrontendKind, Response, WireLane,
+    WireReport,
 };
+use msropm_server::ServerConfig;
 use std::io::{self, BufReader, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -292,4 +297,115 @@ fn retryability_classification() {
             "{code:?} must not be blind-retried"
         );
     }
+}
+
+/// The unkillable-job repro: a config asking for ~10^18 integration
+/// steps (`t_init = 1e6`, `dt = 1e-12`) used to be accepted and pin a
+/// worker for good. It must now be rejected at the codec with a typed
+/// error — `Malformed` on the binary wire, `400` over HTTP — and a
+/// second tenant's job on the same one-worker server must complete.
+#[test]
+fn hostile_step_count_is_rejected_and_another_tenant_completes() {
+    let hostile = MsropmConfig {
+        t_init: 1e6,
+        dt: 1e-12,
+        ..MsropmConfig::paper_default()
+    };
+    let graph = generators::cycle_graph(6);
+    for frontend in [
+        FrontendKind::Threads,
+        FrontendKind::Reactor,
+        FrontendKind::Http,
+    ] {
+        let server = ServerConfig::builder()
+            .frontend(frontend)
+            .workers(1)
+            .bind("127.0.0.1:0")
+            .expect("bind frontend");
+        let addr = server.local_addr();
+        let t0 = Instant::now();
+        if frontend == FrontendKind::Http {
+            let mut http = HttpClient::connect(addr).expect("connect http");
+            let body = r#"{"tenant":"hostile","class":"max-cut",
+                "input":"p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n",
+                "config":{"t_init":1e6,"dt":1e-12}}"#;
+            let (status, reply) = http
+                .request("POST", "/v1/problems", Some(body))
+                .expect("hostile problem");
+            assert_eq!(status, 400, "{reply}");
+            assert!(reply.contains("integration steps"), "{reply}");
+
+            let mut other = HttpClient::connect(addr).expect("connect http");
+            let body = r#"{"tenant":"other","graph":{"nodes":3,"edges":[[0,1],[1,2]]},
+                "config":{"dt":0.02},"seed":5}"#;
+            let (status, reply) = other
+                .request_json("POST", "/v1/jobs", Some(body))
+                .expect("second tenant submit");
+            assert_eq!(status, 202, "{reply:?}");
+            let id = json_u64(&reply, "job_id");
+            loop {
+                let (status, reply) = other
+                    .request_json("GET", &format!("/v1/jobs/{id}?tenant=other"), None)
+                    .expect("poll");
+                assert_eq!(status, 200, "{reply:?}");
+                if json_str(&reply, "state") == "done" {
+                    break;
+                }
+                assert!(t0.elapsed() < NO_HANG, "second tenant's job never finished");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        } else {
+            let mut client = Client::connect(addr, "hostile").expect("connect");
+            let rejected = [
+                client.submit_ok(&graph, &BatchJob::uniform(hostile, 1, 1)),
+                client
+                    .submit_problem(
+                        &ProblemSpec::MaxCut {
+                            graph: graph.clone(),
+                        },
+                        &hostile,
+                        1,
+                        1,
+                        &SubmitOptions::new(),
+                    )
+                    .map(|id| id.expect("blocking submit yields a job id")),
+            ];
+            for outcome in rejected {
+                match outcome {
+                    Err(ClientError::Server { code, message }) => {
+                        assert_eq!(code, ErrorCode::Malformed, "{frontend:?}");
+                        assert!(message.contains("integration steps"), "{message}");
+                    }
+                    other => panic!("{frontend:?}: hostile config yielded {other:?}"),
+                }
+            }
+            let mut other = Client::connect(addr, "other").expect("connect");
+            let id = other
+                .submit_ok(&graph, &BatchJob::uniform(fast_config(), 1, 5))
+                .expect("second tenant submit");
+            let report = other.wait_report(id).expect("second tenant report");
+            assert_eq!(report.ranked.len(), 1);
+        }
+        assert!(t0.elapsed() < NO_HANG, "{frontend:?} took too long");
+        server.shutdown();
+    }
+}
+
+fn json_field<'a>(value: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(fields) = value else {
+        panic!("expected object, got {value:?}");
+    };
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("missing field {key:?} in {value:?}"))
+}
+
+fn json_u64(value: &Json, key: &str) -> u64 {
+    json_field(value, key).as_u64().expect("u64 field")
+}
+
+fn json_str<'a>(value: &'a Json, key: &str) -> &'a str {
+    json_field(value, key).as_str().expect("string field")
 }

@@ -73,6 +73,67 @@ impl std::fmt::Display for KernelBackend {
     }
 }
 
+/// Largest color count: colors are `u16` group ids, so at most 16
+/// stages.
+const MAX_COLORS: usize = 1 << 16;
+
+/// Cap on the integration steps one job's schedule may take (see
+/// [`MsropmConfig::check`]). The paper default takes 6 000; without a
+/// cap a config such as `t_init = 1e6, dt = 1e-12` asks for ~10^18
+/// steps and pins a worker for good.
+pub const MAX_STEPS_PER_JOB: u64 = 1 << 20;
+
+/// Why an [`MsropmConfig`] cannot run (see [`MsropmConfig::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `num_colors` is not a power of two in `[2, 65536]`.
+    NumColors,
+    /// The coupling strength is negative or not finite.
+    Coupling,
+    /// The SHIL strength is negative or not finite.
+    ShilStrength,
+    /// The annealing noise amplitude is negative or not finite.
+    Noise,
+    /// The frequency spread is negative or not finite.
+    FrequencySpread,
+    /// The jitter-drift re-init σ is negative or not finite.
+    ReinitSigma,
+    /// A window duration is negative or not finite.
+    Duration,
+    /// `dt` is not positive and finite.
+    Step,
+    /// The schedule takes more than [`MAX_STEPS_PER_JOB`] integration
+    /// steps.
+    TooManySteps,
+}
+
+impl ConfigError {
+    /// A static description of the violated rule.
+    pub fn reason(self) -> &'static str {
+        match self {
+            ConfigError::NumColors => "num_colors must be a power of two in [2, 65536]",
+            ConfigError::Coupling => "coupling must be >= 0 and finite",
+            ConfigError::ShilStrength => "SHIL strength must be >= 0 and finite",
+            ConfigError::Noise => "noise must be >= 0 and finite",
+            ConfigError::FrequencySpread => "frequency spread must be >= 0 and finite",
+            ConfigError::ReinitSigma => "reinit sigma must be >= 0 and finite",
+            ConfigError::Duration => "window durations must be >= 0 and finite",
+            ConfigError::Step => "dt must be positive and finite",
+            ConfigError::TooManySteps => {
+                "schedule exceeds 2^20 integration steps (sum of ceil(window / dt))"
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.reason())
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Full configuration of an [`crate::Msropm`] machine.
 ///
 /// Defaults ([`MsropmConfig::paper_default`]) follow the paper's §4.1
@@ -161,30 +222,59 @@ impl MsropmConfig {
         self.num_stages() as f64 * (self.t_init + self.t_anneal + self.t_lock)
     }
 
-    /// Checks internal consistency.
+    /// Checks that the configuration can run, and run in bounded time:
+    /// `num_colors` a power of two in `[2, 65536]`, every strength,
+    /// noise amplitude, spread and duration finite and non-negative,
+    /// `dt` finite and positive, and at most [`MAX_STEPS_PER_JOB`]
+    /// integration steps in the whole schedule (Σ over stages and
+    /// windows of `ceil(window / dt)`). Codecs call this on every
+    /// config they accept from outside the process.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let magnitude = |x: f64, err: ConfigError| {
+            if x.is_finite() && x >= 0.0 {
+                Ok(())
+            } else {
+                Err(err)
+            }
+        };
+        if !(2..=MAX_COLORS).contains(&self.num_colors) || !self.num_colors.is_power_of_two() {
+            return Err(ConfigError::NumColors);
+        }
+        magnitude(self.coupling_strength, ConfigError::Coupling)?;
+        magnitude(self.shil_strength, ConfigError::ShilStrength)?;
+        magnitude(self.noise, ConfigError::Noise)?;
+        magnitude(self.frequency_spread, ConfigError::FrequencySpread)?;
+        if let ReinitMode::JitterDrift { sigma } = self.reinit {
+            magnitude(sigma, ConfigError::ReinitSigma)?;
+        }
+        let windows = [self.t_init, self.t_anneal, self.t_lock];
+        for t in windows {
+            magnitude(t, ConfigError::Duration)?;
+        }
+        if !(self.dt.is_finite() && self.dt > 0.0) {
+            return Err(ConfigError::Step);
+        }
+        let steps_per_stage: f64 = windows.iter().map(|t| (t / self.dt).ceil()).sum();
+        let stages = f64::from(self.num_colors.trailing_zeros());
+        if stages * steps_per_stage > MAX_STEPS_PER_JOB as f64 {
+            return Err(ConfigError::TooManySteps);
+        }
+        Ok(())
+    }
+
+    /// Checks internal consistency (see [`MsropmConfig::check`]).
     ///
     /// # Panics
     ///
-    /// Panics if `num_colors` is not a power of two ≥ 2, any duration or
-    /// strength is negative, or `dt` is not positive.
+    /// Panics with the [`ConfigError`] message if `check` fails.
     pub fn validate(&self) {
-        assert!(
-            self.num_colors >= 2 && self.num_colors.is_power_of_two(),
-            "num_colors must be a power of two >= 2, got {}",
-            self.num_colors
-        );
-        assert!(self.coupling_strength >= 0.0, "coupling must be >= 0");
-        assert!(self.shil_strength >= 0.0, "SHIL strength must be >= 0");
-        assert!(self.noise >= 0.0, "noise must be >= 0");
-        assert!(
-            self.frequency_spread >= 0.0,
-            "frequency spread must be >= 0"
-        );
-        assert!(
-            self.t_init >= 0.0 && self.t_anneal >= 0.0 && self.t_lock >= 0.0,
-            "window durations must be >= 0"
-        );
-        assert!(self.dt > 0.0, "dt must be positive");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 
     /// Returns a copy with a different color count.
@@ -495,6 +585,74 @@ mod tests {
         let c = MsropmConfig::paper_default();
         assert_eq!(c.num_stages(), 2);
         assert!((c.total_time_ns() - 60.0).abs() < 1e-12, "paper sec 4.1");
+    }
+
+    #[test]
+    fn check_bounds_the_work_of_a_schedule() {
+        // The paper default: 2 stages × (500 + 2000 + 500) = 6 000 steps.
+        let paper = MsropmConfig::paper_default();
+        assert_eq!(paper.check(), Ok(()));
+        let at_cap = MsropmConfig {
+            t_init: 0.0,
+            t_anneal: (MAX_STEPS_PER_JOB / 2) as f64,
+            t_lock: 0.0,
+            dt: 1.0,
+            ..paper
+        };
+        assert_eq!(at_cap.check(), Ok(()));
+        let over = MsropmConfig {
+            t_anneal: at_cap.t_anneal + 1.0,
+            ..at_cap
+        };
+        assert_eq!(over.check(), Err(ConfigError::TooManySteps));
+        // The ~1e18-step request that used to pin a worker.
+        let hostile = MsropmConfig {
+            t_init: 1e6,
+            dt: 1e-12,
+            ..paper
+        };
+        assert_eq!(hostile.check(), Err(ConfigError::TooManySteps));
+        let cases = [
+            (
+                MsropmConfig {
+                    t_lock: f64::INFINITY,
+                    ..paper
+                },
+                ConfigError::Duration,
+            ),
+            (
+                MsropmConfig {
+                    t_init: f64::NAN,
+                    ..paper
+                },
+                ConfigError::Duration,
+            ),
+            (MsropmConfig { dt: 0.0, ..paper }, ConfigError::Step),
+            (
+                MsropmConfig {
+                    noise: f64::INFINITY,
+                    ..paper
+                },
+                ConfigError::Noise,
+            ),
+            (
+                MsropmConfig {
+                    num_colors: 1 << 17,
+                    ..paper
+                },
+                ConfigError::NumColors,
+            ),
+            (
+                MsropmConfig {
+                    reinit: ReinitMode::JitterDrift { sigma: -1.0 },
+                    ..paper
+                },
+                ConfigError::ReinitSigma,
+            ),
+        ];
+        for (config, err) in cases {
+            assert_eq!(config.check(), Err(err), "{config:?}");
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! can change a bit of the report — `msropm-server` property-tests this
 //! across 1 vs 4 workers.
 
-use crate::batch::BatchArena;
+use crate::batch::{BatchArena, ShardedArena};
 use crate::config::{LaneConfig, MsropmConfig, SweepSpec};
-use crate::machine::{Msropm, MsropmSolution};
+use crate::machine::{Msropm, MsropmSolution, SolveOptions};
+use crate::pool::ShardPool;
 use msropm_graph::{graph_hash, Graph};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -139,69 +140,24 @@ impl BatchJob {
     /// caller's responsibility — a mismatch means a cache-key bug) or if
     /// a resolved lane configuration is invalid.
     pub fn run(&self, machine: &Msropm, arena: &mut BatchArena) -> JobReport {
-        self.run_cancellable(machine, arena, &CancelToken::new())
-            .expect("a fresh token never cancels")
-    }
-
-    /// Like [`BatchJob::run`], but checking `cancel` before the first
-    /// stage and at every non-final stage boundary. Returns `None` when
-    /// the job was cancelled — no report exists, and none ever will for
-    /// this run. A job that completes is **bit-identical** to an
-    /// uncancellable [`BatchJob::run`]: the cooperative check happens
-    /// strictly between stages and cannot perturb the trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchJob::run`].
-    pub fn run_cancellable(
-        &self,
-        machine: &Msropm,
-        arena: &mut BatchArena,
-        cancel: &CancelToken,
-    ) -> Option<JobReport> {
-        self.run_cancellable_with(machine, arena, || cancel.is_cancelled())
-    }
-
-    /// Generalized cooperative abort: `abort` is polled before the first
-    /// stage and at every non-final stage boundary; returning `true`
-    /// abandons the run (→ `None`). This is the hook the job server's
-    /// deadline enforcement rides on — a closure combining a
-    /// [`CancelToken`] with a wall-clock deadline check slots in here
-    /// without touching the solver. A run that completes is
-    /// **bit-identical** to [`BatchJob::run`]: the check happens
-    /// strictly between stages and cannot perturb the trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchJob::run`].
-    pub fn run_cancellable_with<F>(
-        &self,
-        machine: &Msropm,
-        arena: &mut BatchArena,
-        mut abort: F,
-    ) -> Option<JobReport>
-    where
-        F: FnMut() -> bool,
-    {
-        assert!(
-            machine.config() == &self.config,
-            "job config does not match the machine it is paired with"
-        );
-        if abort() {
-            return None;
-        }
+        self.check_pairing(machine);
         let seeds = self.lane_seeds();
-        let solutions =
-            machine.solve_batch_lanes_arena_cancellable_with(&self.lanes, &seeds, arena, abort)?;
-        Some(JobReport::rank(machine.graph(), self, &seeds, solutions))
+        let solutions = machine
+            .solve_lanes(&self.lanes, &seeds, SolveOptions::new().arena(arena))
+            .expect("no cancel token => never None");
+        JobReport::rank(machine.graph(), self, &seeds, solutions)
     }
 
-    /// Like [`BatchJob::run_cancellable_with`], but sharding the lane
-    /// range across `shards` tasks on `pool` (see
-    /// [`crate::machine::Msropm::solve_batch_lanes_arena_sharded_cancellable_with`]).
-    /// The report is **bit-identical** at every shard width, and abort
-    /// checks fire at exactly the same cooperative points — this is the
-    /// job-server solve path when intra-job parallelism is on.
+    /// Runs the job with its lane range sharded across `shards` tasks on
+    /// `pool`, polling `abort` before the first stage and at every
+    /// non-final stage boundary; returning `true` abandons the run
+    /// (→ `None`: no report exists, and none ever will for this run).
+    /// This is the job-server solve path: a closure combining a
+    /// [`CancelToken`] with a wall-clock deadline check slots in here
+    /// without touching the solver. A report is **bit-identical** to
+    /// [`BatchJob::run`] at every shard width and whatever the closure
+    /// observes: the check happens strictly between stages and cannot
+    /// perturb the trajectory.
     ///
     /// # Panics
     ///
@@ -211,30 +167,33 @@ impl BatchJob {
         &self,
         machine: &Msropm,
         shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
+        arena: &mut ShardedArena,
+        pool: &ShardPool,
         mut abort: F,
     ) -> Option<JobReport>
     where
         F: FnMut() -> bool,
     {
-        assert!(
-            machine.config() == &self.config,
-            "job config does not match the machine it is paired with"
-        );
+        self.check_pairing(machine);
         if abort() {
             return None;
         }
         let seeds = self.lane_seeds();
-        let solutions = machine.solve_batch_lanes_arena_sharded_cancellable_with(
-            &self.lanes,
-            &seeds,
+        let solutions = crate::batch::solve_lanes_sharded_hooked(
+            machine.batch(&self.lanes, &seeds),
             shards,
             arena,
             pool,
-            abort,
+            crate::batch::cancel_hook(abort),
         )?;
         Some(JobReport::rank(machine.graph(), self, &seeds, solutions))
+    }
+
+    fn check_pairing(&self, machine: &Msropm) {
+        assert!(
+            machine.config() == &self.config,
+            "job config does not match the machine it is paired with"
+        );
     }
 }
 
@@ -383,9 +342,13 @@ mod tests {
         let job = BatchJob::uniform(fast_config(), 2, 5);
         let token = CancelToken::new();
         token.cancel();
-        assert!(job
-            .run_cancellable(&machine, &mut BatchArena::new(), &token)
-            .is_none());
+        let pool = ShardPool::new(1);
+        for shards in [1, 2] {
+            let mut arena = ShardedArena::new();
+            assert!(job
+                .run_sharded_with(&machine, shards, &mut arena, &pool, || token.is_cancelled())
+                .is_none());
+        }
     }
 
     #[test]
@@ -393,15 +356,21 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // The reference is the *independent* sequential scalar machine
-        // (`Msropm::solve` per lane), not `BatchJob::run` — `run` now
-        // delegates to `run_cancellable`, so comparing those two would
-        // be vacuous. This pins the cancellable hooked path (boundary
-        // check armed but never firing) to the gold trajectory.
+        // (`Msropm::solve` per lane). This pins the job-server path
+        // (boundary check armed but never firing) to the gold
+        // trajectory.
         let g = generators::kings_graph(4, 4);
         let machine = Msropm::new(&g, fast_config());
         let job = BatchJob::uniform(fast_config(), 4, 11);
+        let token = CancelToken::new();
         let report = job
-            .run_cancellable(&machine, &mut BatchArena::new(), &CancelToken::new())
+            .run_sharded_with(
+                &machine,
+                2,
+                &mut ShardedArena::new(),
+                &ShardPool::new(2),
+                || token.is_cancelled(),
+            )
             .expect("not cancelled");
         let seeds = job.lane_seeds();
         for entry in &report.ranked {

@@ -3,12 +3,16 @@
 //! Integration runs on the compiled coupling kernel
 //! ([`msropm_osc::kernel`]): the machine recompiles the gating state at
 //! every window boundary (the only instants it can change) and steps each
-//! window with a reusable, allocation-free [`KernelIntegrator`]. The
-//! multi-replica entry point [`Msropm::solve_batch`] advances many
-//! independent iterations in one interleaved sweep (see
-//! [`crate::batch`]).
+//! window with a reusable, allocation-free [`KernelIntegrator`]; this
+//! scalar path is the reference the batch engine is tested against.
+//! The batch entry point [`Msropm::solve_lanes`] advances many
+//! independent iterations in one interleaved sweep on either kernel
+//! backend (see [`crate::batch`]).
 
+use crate::batch::{Batch, BatchArena, ShardedArena};
 use crate::config::{LaneConfig, MsropmConfig, ReinitMode};
+use crate::job::CancelToken;
+use crate::pool::ShardPool;
 use crate::schedule::{Schedule, Window, WindowKind};
 use msropm_graph::{Color, Coloring, Cut, EdgeMask, Graph};
 use msropm_osc::kernel::KernelIntegrator;
@@ -362,396 +366,122 @@ impl Msropm {
         }
     }
 
-    /// Solves `seeds.len()` independent replicas in one multi-replica
-    /// (SoA) sweep, sharded over at most `threads` worker threads.
-    ///
-    /// Replica `i` is **bit-identical** to
-    /// `self.clone().solve(&mut StdRng::seed_from_u64(seeds[i]))` — the
-    /// batch kernel interleaves the replicas but performs the same
-    /// floating-point operations on each, and every replica draws from
-    /// its own seeded RNG in sequential order. Consequently the result is
-    /// also independent of `threads` (replicas are sharded in disjoint
-    /// contiguous ranges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn solve_batch(&self, seeds: &[u64], threads: usize) -> Vec<MsropmSolution> {
-        crate::batch::solve_batch_sharded(
-            &self.graph,
-            &self.config,
-            &self.network,
-            seeds,
-            false,
-            threads,
-        )
-    }
-
     /// Solves one **heterogeneous** batch: lane `i` runs the machine's
     /// configuration with `lanes[i]`'s overrides applied
     /// (see [`crate::config::LaneConfig`]), seeded by `seeds[i]` — the
-    /// entry point for per-replica parameter sweeps.
+    /// batch entry point, including per-replica parameter sweeps.
     ///
-    /// Lane `i` is **bit-identical** to
-    /// `Msropm::new(graph, lanes[i].resolve(config)).solve(&mut
+    /// [`SolveOptions`] picks scratch reuse (an arena), cooperative
+    /// abort (a cancel token) and parallelism (lane shards on a
+    /// [`crate::pool::ShardPool`]); a completed solve is
+    /// **bit-identical** under every option combination. Lane `i` of an
+    /// f64 batch is bit-identical to `Msropm::new(graph,
+    /// lanes[i].resolve(config)).solve(&mut
     /// StdRng::seed_from_u64(seeds[i]))` (with this machine's defective
-    /// rings carried over), and all-default lanes reproduce
-    /// [`Msropm::solve_batch`] exactly; both properties are tested in
-    /// `tests/lane_equivalence.rs`. Results are independent of
-    /// `threads`.
+    /// rings carried over) — tested in `tests/lane_equivalence.rs`.
+    /// Returns `None` only when the cancel token fired at a stage
+    /// boundary.
     ///
     /// For ranked sweeps with population restarts between stages, see
     /// [`crate::portfolio::PortfolioRunner`].
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, `lanes.len() != seeds.len()`, or a
-    /// resolved lane configuration is invalid.
-    pub fn solve_batch_lanes(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        threads: usize,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(lanes, seeds, SolveOptions::new().threads(threads))
-            .expect("no cancel token => never None")
-    }
-
-    /// Like [`Msropm::solve_batch_lanes`] with `threads = 1`, but running
-    /// in the caller's long-lived [`crate::batch::BatchArena`]: repeated
-    /// calls reuse the integrator scratch and per-run state buffers, so a
-    /// worker solving many jobs back to back allocates (almost) nothing
-    /// per job. Results are bit-identical to [`Msropm::solve_batch_lanes`]
-    /// regardless of the arena's history — this is the job-server unit of
-    /// work (see [`crate::job::BatchJob::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(lanes, seeds, SolveOptions::new().arena(arena))
-            .expect("no cancel token => never None")
-    }
-
-    /// Like [`Msropm::solve_batch_lanes_arena`], but checking `cancel`
-    /// at every non-final stage boundary; returns `None` when the run
-    /// was abandoned there. Runs that complete are **bit-identical** to
-    /// the uncancellable entry (the check happens strictly between
-    /// stages, after all RNG draws of the finished stage and before any
-    /// of the next). This is the job-server cancellation path — see
-    /// [`crate::job::BatchJob::run_cancellable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena_cancellable(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-        cancel: &crate::job::CancelToken,
-    ) -> Option<Vec<MsropmSolution>> {
-        self.solve_lanes(
-            lanes,
-            seeds,
-            SolveOptions::new().arena(arena).cancel(cancel),
-        )
-    }
-
-    /// Generalized cancellable batch solve: `cancelled` is polled at
-    /// every non-final stage boundary; returning `true` abandons the
-    /// run (→ `None`). Backs [`Msropm::solve_batch_lanes_arena_cancellable`]
-    /// and lets tests and deadline-based policies (see
-    /// [`crate::job::BatchJob::run_cancellable_with`]) drive the
-    /// boundary check deterministically. Runs that complete are
-    /// **bit-identical** to the uncancellable entry regardless of what
-    /// the closure observes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()` or a resolved lane
-    /// configuration is invalid.
-    pub fn solve_batch_lanes_arena_cancellable_with<F>(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        arena: &mut crate::batch::BatchArena,
-        mut cancelled: F,
-    ) -> Option<Vec<MsropmSolution>>
-    where
-        F: FnMut() -> bool,
-    {
-        self.config.validate();
-        if seeds.is_empty() {
-            return Some(Vec::new());
-        }
-        crate::batch::solve_lane_range_hooked(
-            &self.graph,
-            &self.config,
-            &self.network,
-            lanes,
-            seeds,
-            false,
-            arena,
-            |_, _| {
-                if cancelled() {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            },
-        )
-    }
-
-    /// Like [`Msropm::solve_batch_lanes_arena`], but sharding the lane
-    /// range across `shards` tasks on `pool` — the intra-job parallel
-    /// solve path. Results are **bit-identical** at every shard count
-    /// (lane seeds are per-lane; shards only partition the range — see
-    /// [`crate::batch`]'s determinism contract), and `shards = 1`
-    /// executes the exact unsharded path in `arena`'s first slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, `lanes.len() != seeds.len()`, a
-    /// resolved lane configuration is invalid, or a shard task
-    /// panicked.
-    pub fn solve_batch_lanes_arena_sharded(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
-    ) -> Vec<MsropmSolution> {
-        self.solve_lanes(
-            lanes,
-            seeds,
-            SolveOptions::new().sharded(shards, arena, pool),
-        )
-        .expect("no cancel token => never None")
-    }
-
-    /// Sharded counterpart of
-    /// [`Msropm::solve_batch_lanes_arena_cancellable_with`]: `cancelled`
-    /// is polled on the dispatching thread at every non-final stage
-    /// boundary — after all shards have joined, before any next-stage
-    /// task is dispatched — so cancellation semantics are identical at
-    /// any shard width. Returns `None` when the run was abandoned.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`Msropm::solve_batch_lanes_arena_sharded`].
-    pub fn solve_batch_lanes_arena_sharded_cancellable_with<F>(
-        &self,
-        lanes: &[LaneConfig],
-        seeds: &[u64],
-        shards: usize,
-        arena: &mut crate::batch::ShardedArena,
-        pool: &crate::pool::ShardPool,
-        mut cancelled: F,
-    ) -> Option<Vec<MsropmSolution>>
-    where
-        F: FnMut() -> bool,
-    {
-        self.config.validate();
-        if seeds.is_empty() {
-            return Some(Vec::new());
-        }
-        crate::batch::solve_lanes_sharded_hooked(
-            &self.graph,
-            &self.config,
-            &self.network,
-            lanes,
-            seeds,
-            false,
-            shards,
-            arena,
-            pool,
-            |_, _| {
-                if cancelled() {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            },
-        )
-    }
-
-    /// Unified heterogeneous batch solve: one entry point behind which
-    /// every `solve_batch_lanes*` variant now lives. The execution
-    /// strategy is picked by [`SolveOptions`] — scratch reuse via
-    /// `arena`, cooperative abort via `cancel_token`, and parallelism
-    /// via `shard_policy` — while the result contract stays the same:
-    /// a completed solve is **bit-identical** across every valid
-    /// option combination (tested in `tests/lane_equivalence.rs` and
-    /// below). Returns `None` only when a cancel token fired at a
-    /// stage boundary.
-    ///
-    /// The named legacy entry points ([`Msropm::solve_batch_lanes`],
-    /// [`Msropm::solve_batch_lanes_arena`],
-    /// [`Msropm::solve_batch_lanes_arena_cancellable`],
-    /// [`Msropm::solve_batch_lanes_arena_sharded`]) forward here; the
-    /// `*_with` closure variants remain as the lower-level hooked API
-    /// (deadline policies poll arbitrary closures, not tokens).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes.len() != seeds.len()`, a resolved lane
-    /// configuration is invalid, or the options combine strategies that
-    /// do not compose (see [`SolveOptions`]): thread-sharding with an
-    /// arena or cancel token, a [`ShardedArena`] without a shard pool,
-    /// a [`BatchArena`] with one, or `threads == 0` / `shards == 0`.
+    /// Panics if `lanes.len() != seeds.len()`, the lanes mix kernel
+    /// backends, a resolved lane configuration is invalid, the shard
+    /// count is 0, or a shard task panicked.
     pub fn solve_lanes(
         &self,
         lanes: &[LaneConfig],
         seeds: &[u64],
         options: SolveOptions<'_>,
     ) -> Option<Vec<MsropmSolution>> {
-        let SolveOptions {
-            arena,
-            cancel_token,
-            shard_policy,
-            backend,
-        } = options;
-        // A backend override is expressed through the lane layer so it
-        // flows unchanged through every execution strategy below.
-        let lanes_overridden: Vec<LaneConfig>;
-        let lanes = match backend {
-            Some(b) if b != self.config.backend => {
-                lanes_overridden = lanes
-                    .iter()
-                    .map(|lane| {
-                        let mut lane = *lane;
-                        lane.backend.get_or_insert(b);
-                        lane
-                    })
-                    .collect();
-                &lanes_overridden[..]
+        let SolveOptions { scratch, cancel } = options;
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        match scratch {
+            Scratch::Fresh => self.solve_batch_lanes_arena_cancellable_with(
+                lanes,
+                seeds,
+                &mut BatchArena::new(),
+                cancelled,
+            ),
+            Scratch::Inline(arena) => {
+                self.solve_batch_lanes_arena_cancellable_with(lanes, seeds, arena, cancelled)
             }
-            _ => lanes,
-        };
-        match shard_policy {
-            SolveShardPolicy::Threads(threads) => {
-                assert!(threads > 0, "threads must be >= 1");
-                if threads > 1 {
-                    assert!(
-                        arena.is_none() && cancel_token.is_none(),
-                        "thread-sharded solves take neither an arena nor a cancel \
-                         token; use SolveShardPolicy::Pool for cancellable parallelism"
-                    );
-                    return Some(crate::batch::solve_lanes_sharded(
-                        &self.graph,
-                        &self.config,
-                        &self.network,
-                        lanes,
-                        seeds,
-                        false,
-                        threads,
-                    ));
-                }
-                let cancelled = || cancel_token.is_some_and(|t| t.is_cancelled());
-                match arena {
-                    None => {
-                        if cancel_token.is_none() {
-                            // Matches the historical `solve_batch_lanes(_, _, 1)`
-                            // path exactly (bit-identical to the arena path).
-                            return Some(crate::batch::solve_lanes_sharded(
-                                &self.graph,
-                                &self.config,
-                                &self.network,
-                                lanes,
-                                seeds,
-                                false,
-                                1,
-                            ));
-                        }
-                        let mut scratch = crate::batch::BatchArena::new();
-                        self.solve_batch_lanes_arena_cancellable_with(
-                            lanes,
-                            seeds,
-                            &mut scratch,
-                            cancelled,
-                        )
-                    }
-                    Some(ArenaRef::Batch(arena)) => self
-                        .solve_batch_lanes_arena_cancellable_with(lanes, seeds, arena, cancelled),
-                    Some(ArenaRef::Sharded(_)) => {
-                        panic!("a ShardedArena requires SolveShardPolicy::Pool")
-                    }
-                }
-            }
-            SolveShardPolicy::Pool { shards, pool } => {
-                let cancelled = || cancel_token.is_some_and(|t| t.is_cancelled());
-                match arena {
-                    None => {
-                        let mut scratch = crate::batch::ShardedArena::new();
-                        self.solve_batch_lanes_arena_sharded_cancellable_with(
-                            lanes,
-                            seeds,
-                            shards,
-                            &mut scratch,
-                            pool,
-                            cancelled,
-                        )
-                    }
-                    Some(ArenaRef::Sharded(arena)) => self
-                        .solve_batch_lanes_arena_sharded_cancellable_with(
-                            lanes, seeds, shards, arena, pool, cancelled,
-                        ),
-                    Some(ArenaRef::Batch(_)) => {
-                        panic!("a BatchArena cannot back a pool-sharded solve; use a ShardedArena")
-                    }
-                }
-            }
+            Scratch::Sharded {
+                shards,
+                arena,
+                pool,
+            } => crate::batch::solve_lanes_sharded_hooked(
+                self.batch(lanes, seeds),
+                shards,
+                arena,
+                pool,
+                crate::batch::cancel_hook(cancelled),
+            ),
         }
+    }
+
+    /// Solves one batch inline in the caller's long-lived `arena`,
+    /// polling `cancelled` at every non-final stage boundary; returning
+    /// `true` abandons the run (→ `None`). Repeated calls reuse the
+    /// integrator scratch and per-run state buffers, so a worker solving
+    /// many jobs back to back allocates (almost) nothing per job. Runs
+    /// that complete are **bit-identical** to [`Msropm::solve_lanes`]
+    /// regardless of the arena's history or what the closure observes:
+    /// the check happens strictly between stages, after all RNG draws
+    /// of the finished stage and before any of the next.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes.len() != seeds.len()`, the lanes mix kernel
+    /// backends, or a resolved lane configuration is invalid.
+    pub fn solve_batch_lanes_arena_cancellable_with<F>(
+        &self,
+        lanes: &[LaneConfig],
+        seeds: &[u64],
+        arena: &mut BatchArena,
+        cancelled: F,
+    ) -> Option<Vec<MsropmSolution>>
+    where
+        F: FnMut() -> bool,
+    {
+        crate::batch::solve_lane_range_hooked(
+            self.batch(lanes, seeds),
+            arena,
+            crate::batch::cancel_hook(cancelled),
+        )
+    }
+
+    /// `lanes` seeded by `seeds` on this machine's graph, config and
+    /// network (defective rings included).
+    pub(crate) fn batch<'a>(&'a self, lanes: &'a [LaneConfig], seeds: &'a [u64]) -> Batch<'a> {
+        Batch::new(&self.graph, &self.config, &self.network, lanes, seeds)
     }
 }
 
-/// A borrowed solver scratch arena for [`Msropm::solve_lanes`]: either
-/// the single-task [`crate::batch::BatchArena`] or the
-/// [`crate::batch::ShardedArena`] that backs pool-sharded solves. The
-/// variant must match the [`SolveShardPolicy`] (`Batch` with
-/// [`SolveShardPolicy::Threads`]`(1)`, `Sharded` with
-/// [`SolveShardPolicy::Pool`]); `solve_lanes` panics on a mismatch
-/// rather than silently copying buffers.
-pub enum ArenaRef<'a> {
-    /// Scratch for a single-task solve.
-    Batch(&'a mut crate::batch::BatchArena),
-    /// Per-shard scratch for a pool-sharded solve.
-    Sharded(&'a mut crate::batch::ShardedArena),
-}
-
-/// How [`Msropm::solve_lanes`] spreads lanes over execution resources.
-/// Every policy yields **bit-identical** completed results; only
-/// wall-clock and allocation behaviour differ.
-pub enum SolveShardPolicy<'a> {
-    /// Shard lanes over `n` ephemeral threads (`1` = solve inline on
-    /// the caller's thread). Thread sharding predates arenas and
-    /// cancellation and composes with neither; pass an arena or cancel
-    /// token only with `Threads(1)` or [`SolveShardPolicy::Pool`].
-    Threads(usize),
-    /// Shard lanes over `shards` work-stealing tasks on a persistent
-    /// [`crate::pool::ShardPool`] — the job-server parallel solve path.
-    Pool {
-        /// Number of lane shards (must be `>= 1`).
+/// Where [`Msropm::solve_lanes`] runs its lanes and which scratch it
+/// reuses.
+#[derive(Default)]
+enum Scratch<'a> {
+    /// Inline on the caller's thread, in throwaway scratch.
+    #[default]
+    Fresh,
+    /// Inline on the caller's thread, in the caller's arena.
+    Inline(&'a mut BatchArena),
+    /// Sharded over tasks on a persistent pool, in per-shard arenas.
+    Sharded {
         shards: usize,
-        /// The persistent worker pool to run shard tasks on.
-        pool: &'a crate::pool::ShardPool,
+        arena: &'a mut ShardedArena,
+        pool: &'a ShardPool,
     },
 }
 
-/// Options for [`Msropm::solve_lanes`], the unified batch entry point.
-/// The default is the simplest strategy: solve inline on the caller's
-/// thread with throwaway scratch and no cancellation — equivalent to
-/// the legacy `solve_batch_lanes(lanes, seeds, 1)`.
+/// Options for [`Msropm::solve_lanes`], the batch entry point. The
+/// default is the simplest strategy: solve inline on the caller's
+/// thread with throwaway scratch and no cancellation. Every strategy
+/// yields **bit-identical** completed results; only wall-clock and
+/// allocation behaviour differ.
 ///
 /// ```
 /// use msropm_core::{LaneConfig, Msropm, MsropmConfig, SolveOptions};
@@ -767,25 +497,8 @@ pub enum SolveShardPolicy<'a> {
 /// ```
 #[derive(Default)]
 pub struct SolveOptions<'a> {
-    /// Long-lived solver scratch to reuse; `None` allocates throwaway
-    /// scratch for this call.
-    pub arena: Option<ArenaRef<'a>>,
-    /// Cooperative abort token, polled at every non-final stage
-    /// boundary; `None` never cancels.
-    pub cancel_token: Option<&'a crate::job::CancelToken>,
-    /// Execution strategy (defaults to inline single-task).
-    pub shard_policy: SolveShardPolicy<'a>,
-    /// Kernel backend to run the lanes on; `None` keeps the machine
-    /// configuration's backend. Lanes that pin their own
-    /// [`LaneConfig::backend`](crate::LaneConfig) keep it (a batch must
-    /// still end up single-backend).
-    pub backend: Option<crate::KernelBackend>,
-}
-
-impl Default for SolveShardPolicy<'_> {
-    fn default() -> Self {
-        SolveShardPolicy::Threads(1)
-    }
+    scratch: Scratch<'a>,
+    cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> SolveOptions<'a> {
@@ -794,42 +507,33 @@ impl<'a> SolveOptions<'a> {
         Self::default()
     }
 
-    /// Shard lanes over `threads` ephemeral threads.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.shard_policy = SolveShardPolicy::Threads(threads);
+    /// Solve inline, reusing the caller's [`BatchArena`] scratch.
+    pub fn arena(mut self, arena: &'a mut BatchArena) -> Self {
+        self.scratch = Scratch::Inline(arena);
         self
     }
 
-    /// Reuse the caller's [`crate::batch::BatchArena`] scratch.
-    pub fn arena(mut self, arena: &'a mut crate::batch::BatchArena) -> Self {
-        self.arena = Some(ArenaRef::Batch(arena));
-        self
-    }
-
-    /// Shard over `shards` tasks on `pool`, reusing `arena` scratch.
+    /// Shard the lanes over `shards` tasks on `pool`, reusing `arena`
+    /// scratch — the job-server parallel solve path. `shards = 1` runs
+    /// the inline path in the arena's first slot.
     pub fn sharded(
         mut self,
         shards: usize,
-        arena: &'a mut crate::batch::ShardedArena,
-        pool: &'a crate::pool::ShardPool,
+        arena: &'a mut ShardedArena,
+        pool: &'a ShardPool,
     ) -> Self {
-        self.arena = Some(ArenaRef::Sharded(arena));
-        self.shard_policy = SolveShardPolicy::Pool { shards, pool };
+        self.scratch = Scratch::Sharded {
+            shards,
+            arena,
+            pool,
+        };
         self
     }
 
     /// Poll `cancel` at stage boundaries; `solve_lanes` returns `None`
     /// if it fires.
-    pub fn cancel(mut self, cancel: &'a crate::job::CancelToken) -> Self {
-        self.cancel_token = Some(cancel);
-        self
-    }
-
-    /// Run the lanes on `backend`, overriding the machine
-    /// configuration's default (lanes that pin their own backend keep
-    /// it).
-    pub fn backend(mut self, backend: crate::KernelBackend) -> Self {
-        self.backend = Some(backend);
+    pub fn cancel(mut self, cancel: &'a CancelToken) -> Self {
+        self.cancel = Some(cancel);
         self
     }
 }
@@ -1094,14 +798,11 @@ mod tests {
             .solve_lanes(&lanes, &seeds, SolveOptions::new())
             .expect("uncancellable");
 
-        let threaded = m
-            .solve_lanes(&lanes, &seeds, SolveOptions::new().threads(2))
-            .expect("uncancellable");
-        let mut arena = crate::batch::BatchArena::new();
+        let mut arena = BatchArena::new();
         let in_arena = m
             .solve_lanes(&lanes, &seeds, SolveOptions::new().arena(&mut arena))
             .expect("uncancellable");
-        let token = crate::job::CancelToken::new();
+        let token = CancelToken::new();
         let cancellable = m
             .solve_lanes(
                 &lanes,
@@ -1109,8 +810,8 @@ mod tests {
                 SolveOptions::new().arena(&mut arena).cancel(&token),
             )
             .expect("token never fired");
-        let pool = crate::pool::ShardPool::new(2);
-        let mut sharena = crate::batch::ShardedArena::new();
+        let pool = ShardPool::new(2);
+        let mut sharena = ShardedArena::new();
         let pooled = m
             .solve_lanes(
                 &lanes,
@@ -1119,7 +820,7 @@ mod tests {
             )
             .expect("uncancellable");
 
-        for other in [&threaded, &in_arena, &cancellable, &pooled] {
+        for other in [&in_arena, &cancellable, &pooled] {
             assert_eq!(base.len(), other.len());
             for (a, b) in base.iter().zip(other.iter()) {
                 assert_eq!(a.coloring, b.coloring);
@@ -1132,41 +833,10 @@ mod tests {
         let g = generators::kings_graph(3, 3);
         let m = Msropm::new(&g, fast_config());
         let lanes = vec![LaneConfig::default(); 2];
-        let token = crate::job::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         assert!(m
             .solve_lanes(&lanes, &[1, 2], SolveOptions::new().cancel(&token))
             .is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "neither an arena nor a cancel")]
-    fn solve_lanes_rejects_threads_with_arena() {
-        let g = generators::path_graph(2);
-        let m = Msropm::new(&g, fast_config());
-        let mut arena = crate::batch::BatchArena::new();
-        let _ = m.solve_lanes(
-            &[LaneConfig::default()],
-            &[1],
-            SolveOptions::new().arena(&mut arena).threads(2),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires SolveShardPolicy::Pool")]
-    fn solve_lanes_rejects_sharded_arena_without_pool() {
-        let g = generators::path_graph(2);
-        let m = Msropm::new(&g, fast_config());
-        let mut arena = crate::batch::ShardedArena::new();
-        let _ = m.solve_lanes(
-            &[LaneConfig::default()],
-            &[1],
-            SolveOptions {
-                arena: Some(ArenaRef::Sharded(&mut arena)),
-                cancel_token: None,
-                shard_policy: SolveShardPolicy::Threads(1),
-                backend: None,
-            },
-        );
     }
 }

@@ -34,7 +34,7 @@
 //! assert!(report.best_accuracy() > 0.8);
 //! ```
 
-use crate::batch::{solve_lanes_sharded_hooked, StageBoundary};
+use crate::batch::{solve_lanes_sharded_hooked, Batch, StageBoundary};
 use crate::config::{LaneConfig, MsropmConfig, SweepSpec};
 use crate::machine::MsropmSolution;
 use msropm_graph::Graph;
@@ -201,16 +201,11 @@ impl PortfolioRunner {
         let restart_fraction = self.restart_fraction;
         let mut arena = crate::batch::ShardedArena::new();
         let solutions = solve_lanes_sharded_hooked(
-            g,
-            &self.base,
-            &network,
-            &self.lanes,
-            &seeds,
-            false,
+            Batch::new(g, &self.base, &network, &self.lanes, &seeds),
             self.shards,
             &mut arena,
             crate::pool::global(),
-            |stage, boundary: &mut StageBoundary| {
+            |stage, boundary: &mut dyn StageBoundary| {
                 Self::restart_worst(stage, boundary, restart_fraction, &mut restarts);
                 ControlFlow::Continue(())
             },
@@ -239,7 +234,7 @@ impl PortfolioRunner {
     /// round-robin.
     fn restart_worst(
         stage: usize,
-        boundary: &mut StageBoundary,
+        boundary: &mut dyn StageBoundary,
         fraction: f64,
         events: &mut Vec<RestartEvent>,
     ) {
@@ -286,7 +281,9 @@ mod tests {
             .run(&g);
         assert!(report.restarts.is_empty());
         let machine = crate::machine::Msropm::new(&g, base);
-        let batch = machine.solve_batch_lanes(&sweep.lanes(), &[40, 41, 42], 1);
+        let batch = machine
+            .solve_lanes(&sweep.lanes(), &[40, 41, 42], crate::SolveOptions::new())
+            .expect("uncancellable");
         for (o, s) in report.lanes.iter().zip(&batch) {
             assert_eq!(o.solution.coloring, s.coloring);
         }

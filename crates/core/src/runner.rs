@@ -4,12 +4,14 @@
 //! §4: *"40 iterations (i.e. repeated runs) are performed for each problem,
 //! allowing the MSROPM to explore the solution space"*; the best solution
 //! among iterations is the reported answer. Iterations are independent;
-//! the runner advances them as interleaved multi-replica batches (one SoA
-//! sweep per worker thread, see [`crate::batch`]), which is bit-identical
-//! to — and much faster than — the sequential per-iteration loop that
-//! [`ExperimentRunner::run_sequential`] retains as the reference.
+//! the runner advances them as one interleaved multi-replica batch,
+//! sharded over the process-wide [`crate::pool`] (see [`crate::batch`]),
+//! which is bit-identical to — and much faster than — the sequential
+//! per-iteration loop that [`ExperimentRunner::run_sequential`] retains
+//! as the reference.
 
-use crate::config::MsropmConfig;
+use crate::batch::{Batch, ShardedArena};
+use crate::config::{LaneConfig, MsropmConfig};
 use crate::machine::{Msropm, MsropmSolution};
 use crate::metrics::max_cut_accuracy;
 use msropm_graph::metrics::{pairwise_hamming, pearson, Summary};
@@ -155,7 +157,8 @@ impl ExperimentRunner {
         self
     }
 
-    /// Caps worker threads (default: available parallelism).
+    /// Sets how many lane shards the batch splits into on the
+    /// process-wide [`crate::pool`] (default: available parallelism).
     ///
     /// # Panics
     ///
@@ -233,20 +236,30 @@ impl ExperimentRunner {
 
     /// Runs the experiment on `g` and aggregates the report.
     ///
-    /// Iterations are advanced as multi-replica batches sharded over the
-    /// configured thread count — results are bit-identical to
+    /// Iterations are advanced as one multi-replica batch sharded over
+    /// the configured shard count — results are bit-identical to
     /// [`ExperimentRunner::run_sequential`] regardless of `threads`.
     pub fn run(&self, g: &Graph) -> ExperimentReport {
         self.config.validate();
         let reference = self.resolve_cut_reference(g);
-        let threads = self.threads.min(self.iterations).max(1);
         // The no-spread base network; per-replica frequency offsets are
         // sampled inside the batch driver from each replica's own RNG,
         // matching `Msropm::with_frequency_spread` + `solve`.
         let network = self.config.build_network(g);
         let seeds = self.seeds();
-        let solutions =
-            crate::batch::solve_batch_sharded(g, &self.config, &network, &seeds, true, threads);
+        let lanes = vec![LaneConfig::default(); seeds.len()];
+        let batch = Batch {
+            sample_spread: true,
+            ..Batch::new(g, &self.config, &network, &lanes, &seeds)
+        };
+        let solutions = crate::batch::solve_lanes_sharded_hooked(
+            batch,
+            self.threads,
+            &mut ShardedArena::new(),
+            crate::pool::global(),
+            |_, _| std::ops::ControlFlow::Continue(()),
+        )
+        .expect("the runner never cancels");
         self.assemble_report(g, reference, solutions)
     }
 

@@ -29,7 +29,7 @@
 //! speed with no per-step branching.
 //!
 //! Noise is drawn through
-//! [`fill_normal_batch`](msropm_ode::sde::fill_normal_batch) from one
+//! [`fill_normal_batch`] from one
 //! seeded RNG **per replica**, in the same per-replica order a sequential
 //! run would draw, completing the bit-identity argument.
 

@@ -88,7 +88,7 @@ fn sin_core(x: f64) -> f64 {
 /// This is the shape the kernels use: a contiguous buffer of phase
 /// differences with no gather/scatter inside the loop. A cheap range
 /// scan first decides whether every element can take the branchless
-/// [`sin_core`] path — when it can (always, for phase dynamics), the
+/// `sin_core` path — when it can (always, for phase dynamics), the
 /// main loop contains no branches at all and LLVM auto-vectorizes it
 /// (4 lanes of f64 with AVX2). Results are bitwise identical to calling
 /// [`sin_fast`] per element either way.

@@ -589,8 +589,9 @@ impl ProblemSpec {
     /// # Errors
     ///
     /// [`ProblemError::Unsupported`] when the instance fails
-    /// [`ProblemSpec::validate`] or its encoding graph would exceed
-    /// [`MAX_COUPLINGS`] edges.
+    /// [`ProblemSpec::validate`], its encoding graph would exceed
+    /// [`MAX_COUPLINGS`] edges, or the compiled config fails
+    /// [`MsropmConfig::check`].
     pub fn compile(
         &self,
         base: &MsropmConfig,
@@ -612,6 +613,11 @@ impl ProblemSpec {
             num_colors,
             ..*base
         };
+        // The palette sets the stage count, so the step cap is checked
+        // on the compiled config, not only on the submitted one.
+        config
+            .check()
+            .map_err(|e| unsupported(format!("invalid config: {e}")))?;
         Ok(CompiledProblem {
             fingerprint: self.fingerprint(),
             graph,

@@ -7,7 +7,7 @@
 //! cancellation, graceful drain — over HTTP/1.1 with JSON bodies, so
 //! any load balancer, curl script, or metrics scraper can reach the
 //! Potts machine. It is the third transport over
-//! [`crate::session::SessionCore`] and reuses the reactor's
+//! `session::SessionCore` and reuses the reactor's
 //! nonblocking machinery: one event-loop thread owns every socket via
 //! a [`polling::Poller`], each connection is a small state machine (an
 //! incremental [`HttpParser`] feeding a write buffer), and worker
@@ -708,29 +708,20 @@ fn parse_config(value: &Json) -> Result<MsropmConfig, ApiError> {
     for (key, v) in fields {
         match key.as_str() {
             "num_colors" => {
-                let n = v
+                c.num_colors = v
                     .as_u64()
                     .ok_or_else(|| bad("num_colors must be an unsigned integer"))?
-                    as usize;
-                if n < 2 || !n.is_power_of_two() || n > u16::MAX as usize + 1 {
-                    return Err(bad("num_colors must be a power of two in [2, 65536]"));
-                }
-                c.num_colors = n;
+                    .try_into()
+                    .unwrap_or(usize::MAX);
             }
-            "coupling_strength" => c.coupling_strength = get_finite_nonneg(v, key)?,
-            "shil_strength" => c.shil_strength = get_finite_nonneg(v, key)?,
-            "noise" => c.noise = get_finite_nonneg(v, key)?,
-            "frequency_spread" => c.frequency_spread = get_finite_nonneg(v, key)?,
-            "t_init" => c.t_init = get_finite_nonneg(v, key)?,
-            "t_anneal" => c.t_anneal = get_finite_nonneg(v, key)?,
-            "t_lock" => c.t_lock = get_finite_nonneg(v, key)?,
-            "dt" => {
-                let x = get_f64(v, key)?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(bad("dt must be positive and finite"));
-                }
-                c.dt = x;
-            }
+            "coupling_strength" => c.coupling_strength = get_f64(v, key)?,
+            "shil_strength" => c.shil_strength = get_f64(v, key)?,
+            "noise" => c.noise = get_f64(v, key)?,
+            "frequency_spread" => c.frequency_spread = get_f64(v, key)?,
+            "t_init" => c.t_init = get_f64(v, key)?,
+            "t_anneal" => c.t_anneal = get_f64(v, key)?,
+            "t_lock" => c.t_lock = get_f64(v, key)?,
+            "dt" => c.dt = get_f64(v, key)?,
             "shil_ramp" => {
                 c.shil_ramp = v
                     .as_bool()
@@ -746,6 +737,7 @@ fn parse_config(value: &Json) -> Result<MsropmConfig, ApiError> {
             other => return Err(bad(format!("unknown config field \"{other}\""))),
         }
     }
+    c.check().map_err(|e| bad(format!("invalid config: {e}")))?;
     Ok(c)
 }
 

@@ -3,15 +3,15 @@
 //! The paper's Potts machine is a throughput device: many independent
 //! annealing replicas answering coloring/max-cut queries. This crate
 //! wraps the workspace's batch solver
-//! ([`msropm_core::Msropm::solve_batch_lanes`]-family) as the unit of
-//! work behind a request interface, in the spirit of the ASIC-emulated
+//! ([`msropm_core::BatchJob::run_sharded_with`]) as the unit of work
+//! behind a request interface, in the spirit of the ASIC-emulated
 //! accelerator framing where the oscillator fabric sits behind a job
 //! queue:
 //!
 //! - a **bounded MPMC job queue** ([`queue::BoundedQueue`]) admits
 //!   requests and applies backpressure once full;
 //! - **N worker threads** drain it, each owning a long-lived
-//!   [`msropm_core::BatchArena`] so back-to-back jobs reuse the
+//!   [`msropm_core::ShardedArena`] so back-to-back jobs reuse the
 //!   integrator scratch and state buffers instead of reallocating;
 //! - a shared **problem cache** ([`msropm_core::ProblemCache`], keyed by
 //!   [`msropm_graph::io::graph_hash`] + config fingerprint) interns
@@ -785,7 +785,7 @@ impl JobServer {
 
     /// Jobs that died without a report since boot: caught solve panics,
     /// expired deadlines, and worker thread deaths (the last counted by
-    /// the session layer via [`JobServer::count_failed_job`]).
+    /// the session layer via `JobServer::count_failed_job`).
     pub fn jobs_failed(&self) -> u64 {
         self.shared.jobs_failed.load(Ordering::Relaxed)
     }

@@ -53,9 +53,10 @@
 //! [`decode_request`]/[`decode_response`] **never panic** on arbitrary
 //! bytes: truncated, oversized, trailing-garbage and out-of-range
 //! inputs all come back as a typed [`ProtoError`] (property-tested
-//! below with arbitrary byte prefixes). Numeric fields are validated on
-//! decode (finite, non-negative, `num_colors` a power of two ≥ 2, …) so
-//! a malformed frame is rejected at the boundary and can never panic a
+//! below with arbitrary byte prefixes). Configs are validated on decode
+//! by `MsropmConfig::check` (finite, non-negative, `num_colors` a power
+//! of two ≥ 2, a bounded number of integration steps, …) so a malformed
+//! frame is rejected at the boundary and can never panic — or pin — a
 //! worker thread deeper in the stack.
 
 use crate::{JobOutcome, JobState};
@@ -705,42 +706,28 @@ fn put_config(w: &mut ByteWriter, c: &MsropmConfig) {
     put_backend(w, c.backend);
 }
 
-/// Decodes a config, enforcing the invariants `MsropmConfig::validate`
-/// would otherwise *panic* on — a malformed frame must never take down
-/// a worker.
+/// Decodes a config and rejects it unless [`MsropmConfig::check`]
+/// passes — a malformed frame must never take down a worker, and an
+/// accepted one must run in bounded time.
 fn get_config(r: &mut ByteReader) -> Result<MsropmConfig, ProtoError> {
-    let num_colors = r.u32()? as usize;
-    if num_colors < 2 || !num_colors.is_power_of_two() || num_colors > u16::MAX as usize + 1 {
-        return Err(ProtoError::BadValue("num_colors not a power of two >= 2"));
-    }
-    let coupling_strength = finite_nonneg(r.f64()?, "coupling_strength")?;
-    let shil_strength = finite_nonneg(r.f64()?, "shil_strength")?;
-    let noise = finite_nonneg(r.f64()?, "noise")?;
-    let frequency_spread = finite_nonneg(r.f64()?, "frequency_spread")?;
-    let t_init = finite_nonneg(r.f64()?, "t_init")?;
-    let t_anneal = finite_nonneg(r.f64()?, "t_anneal")?;
-    let t_lock = finite_nonneg(r.f64()?, "t_lock")?;
-    let dt = r.f64()?;
-    if !dt.is_finite() || dt <= 0.0 {
-        return Err(ProtoError::BadValue("dt not positive"));
-    }
-    let reinit = get_reinit(r)?;
-    let shil_ramp = r.bool()?;
-    let backend = get_backend(r)?;
-    Ok(MsropmConfig {
-        num_colors,
-        coupling_strength,
-        shil_strength,
-        noise,
-        frequency_spread,
-        t_init,
-        t_anneal,
-        t_lock,
-        dt,
-        reinit,
-        shil_ramp,
-        backend,
-    })
+    let config = MsropmConfig {
+        num_colors: r.u32()? as usize,
+        coupling_strength: r.f64()?,
+        shil_strength: r.f64()?,
+        noise: r.f64()?,
+        frequency_spread: r.f64()?,
+        t_init: r.f64()?,
+        t_anneal: r.f64()?,
+        t_lock: r.f64()?,
+        dt: r.f64()?,
+        reinit: get_reinit(r)?,
+        shil_ramp: r.bool()?,
+        backend: get_backend(r)?,
+    };
+    config
+        .check()
+        .map_err(|e| ProtoError::BadValue(e.reason()))?;
+    Ok(config)
 }
 
 const LANE_COUPLING: u8 = 1 << 0;

@@ -12,7 +12,7 @@
 //! [`crate::proto::Decoder`], and a write buffer flushed on writable
 //! readiness. An idle connection costs one registered fd and a few
 //! hundred bytes; *all* per-tenant quota, registry, and drain semantics
-//! come from the shared [`crate::session::SessionCore`], so the two
+//! come from the shared `session::SessionCore`, so the two
 //! front ends cannot diverge on protocol behaviour (property-tested:
 //! report frames are byte-identical across front ends and worker
 //! counts).

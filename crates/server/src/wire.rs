@@ -2,7 +2,7 @@
 //!
 //! This is the PR 4 "socket protocol over `JobServer::submit`" rung,
 //! refactored: everything transport-agnostic — per-tenant quotas, the
-//! job registry, admission, drain — now lives in [`crate::session`]
+//! job registry, admission, drain — now lives in `session`
 //! and is shared with the epoll-based [`crate::reactor`] front end.
 //! What remains here is the legacy *transport*: a blocking
 //! [`std::net::TcpListener`] acceptor plus reader/writer threads per

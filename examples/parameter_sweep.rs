@@ -6,9 +6,9 @@
 //! strength/ramp, noise amplitude and re-init mode. This example sweeps
 //! a (K, σ) grid over a King's graph two ways:
 //!
-//! 1. a plain heterogeneous batch (`Msropm::solve_batch_lanes`) — every
-//!    grid point runs independently, bit-identical to a standalone
-//!    machine at that point;
+//! 1. a plain heterogeneous batch (`Msropm::solve_lanes`, sharded over
+//!    the process-wide pool) — every grid point runs independently,
+//!    bit-identical to a standalone machine at that point;
 //! 2. a `PortfolioRunner` with population restarts — at each stage
 //!    boundary the worst lanes are re-seeded from the best survivors'
 //!    partition state.
@@ -17,7 +17,9 @@
 //! cargo run --release --example parameter_sweep [side]
 //! ```
 
-use msropm::core::{Msropm, MsropmConfig, PortfolioRunner, SolveOptions, SweepParam, SweepSpec};
+use msropm::core::{
+    pool, Msropm, MsropmConfig, PortfolioRunner, ShardedArena, SolveOptions, SweepParam, SweepSpec,
+};
 use msropm::graph::generators::kings_graph_square;
 
 fn main() {
@@ -44,8 +46,13 @@ fn main() {
 
     // --- 1. Plain heterogeneous sweep: one batch, 16 operating points.
     let machine = Msropm::new(&g, base);
+    let mut arena = ShardedArena::new();
     let solutions = machine
-        .solve_lanes(&lanes, &seeds, SolveOptions::new().threads(4))
+        .solve_lanes(
+            &lanes,
+            &seeds,
+            SolveOptions::new().sharded(4, &mut arena, pool::global()),
+        )
         .expect("no cancel token => never None");
     println!("independent sweep (accuracy per grid point):");
     println!("         sigma=0.100 sigma=0.167 sigma=0.233 sigma=0.300");

@@ -2,9 +2,11 @@
 # CI gate for the MSROPM workspace, structured as named stages:
 #
 #   fmt    rustfmt check
-#   lint   clippy over all targets, deny warnings (incl. the boxmuller cfg)
-#   test   full test suite (+ the boxmuller compat feature's suite)
-#   build  release build incl. examples
+#   lint   clippy over all targets, deny warnings (incl. the boxmuller cfg),
+#          and rustdoc with warnings denied (no dangling intra-doc links)
+#   test   full test suite (+ the boxmuller compat feature's suite, + the
+#          benchmark harness's own tests)
+#   build  release build incl. examples and the benchmark harness
 #   smoke  job-server determinism smoke + wire smoke (real TCP loopback:
 #          boot msropm_serve on an ephemeral port, run solve_remote
 #          submit/status/cancel against it under a hard timeout) + HTTP
@@ -49,16 +51,23 @@ stage_lint() {
     # The vendored epoll/poll shim carries the workspace's only unsafe
     # (FFI) code; hold it to the same deny-warnings bar explicitly.
     cargo clippy -p polling --all-targets -- -D warnings
+    # Docs link into the code by name: a removed or renamed item must
+    # not leave a dangling link behind.
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 }
 
 stage_test() {
     cargo test -q
     cargo test -q -p msropm-ode --features boxmuller
+    # `loadbench/` is its own workspace: root `cargo test` never
+    # compiles it, so an API it uses could vanish unnoticed.
+    cargo test --release --manifest-path loadbench/Cargo.toml
 }
 
 stage_build() {
     cargo build --release
     cargo build --release --examples
+    cargo build --release --manifest-path loadbench/Cargo.toml
 }
 
 stage_smoke() {

@@ -1,9 +1,12 @@
-//! Determinism of the multi-replica batch solver: `solve_batch` must give
-//! the same colorings whether run on 1 thread, N threads, or as a plain
+//! Determinism of the multi-replica batch solver: `solve_lanes` must give
+//! the same colorings whether run at 1 shard, N shards, or as a plain
 //! sequential `solve` loop — and the batched experiment runner must be a
 //! drop-in for its sequential reference.
 
-use msropm::core::{ExperimentRunner, Msropm, MsropmConfig};
+use msropm::core::{
+    pool, ExperimentRunner, LaneConfig, Msropm, MsropmConfig, MsropmSolution, ShardedArena,
+    SolveOptions,
+};
 use msropm::graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,6 +16,17 @@ fn fast_config() -> MsropmConfig {
         dt: 0.02,
         ..MsropmConfig::paper_default()
     }
+}
+
+/// `seeds.len()` default lanes of `machine`, sharded `shards` wide on
+/// the process-wide pool.
+fn solve_batch(machine: &Msropm, seeds: &[u64], shards: usize) -> Vec<MsropmSolution> {
+    let lanes = vec![LaneConfig::default(); seeds.len()];
+    let mut arena = ShardedArena::new();
+    let options = SolveOptions::new().sharded(shards, &mut arena, pool::global());
+    machine
+        .solve_lanes(&lanes, seeds, options)
+        .expect("no cancel token => never None")
 }
 
 #[test]
@@ -32,7 +46,7 @@ fn solve_batch_matches_sequential_solve_loop() {
         .collect();
 
     for threads in [1usize, 3, 8] {
-        let batch = machine.solve_batch(&seeds, threads);
+        let batch = solve_batch(&machine, &seeds, threads);
         assert_eq!(batch.len(), sequential.len());
         for (r, (b, s)) in batch.iter().zip(&sequential).enumerate() {
             assert_eq!(
@@ -57,8 +71,8 @@ fn solve_batch_thread_sharding_is_invisible() {
     let g = generators::kings_graph(4, 4);
     let machine = Msropm::new(&g, fast_config().with_num_colors(8));
     let seeds: Vec<u64> = (0..10).map(|i| 31 * i + 7).collect();
-    let one = machine.solve_batch(&seeds, 1);
-    let many = machine.solve_batch(&seeds, 5);
+    let one = solve_batch(&machine, &seeds, 1);
+    let many = solve_batch(&machine, &seeds, 5);
     for (a, b) in one.iter().zip(&many) {
         assert_eq!(a.coloring, b.coloring);
     }
@@ -95,7 +109,7 @@ fn batch_respects_machine_level_state() {
     let mut machine = Msropm::with_frequency_spread(&g, fast_config(), &mut seed_rng);
     machine.set_oscillator_enabled(2, false);
     let seeds = [4u64, 5, 6];
-    let batch = machine.solve_batch(&seeds, 2);
+    let batch = solve_batch(&machine, &seeds, 2);
     for (r, &seed) in seeds.iter().enumerate() {
         let mut m = machine.clone();
         let mut rng = StdRng::seed_from_u64(seed);
